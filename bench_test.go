@@ -16,7 +16,6 @@ import (
 	"bristleblocks/internal/cache"
 	"bristleblocks/internal/core"
 	"bristleblocks/internal/experiments"
-	"bristleblocks/internal/pads"
 	"bristleblocks/internal/server"
 )
 
@@ -267,14 +266,9 @@ func BenchmarkCorePassParallel(b *testing.B) { benchCorePass(b, 0) }
 // benchRoutePass compiles every spec in examples/chips end-to-end at the
 // given pool width and reports the summed Pass 3 wall-clock as the
 // "pads-ms" metric (time/op includes Passes 1-2, so the metric is the
-// number to compare). seed selects the seed router configuration — Lee
-// wavefront, pure serial commit — as the baseline arm.
-func benchRoutePass(b *testing.B, parallelism int, seed bool) {
+// number to compare).
+func benchRoutePass(b *testing.B, parallelism int) {
 	b.Helper()
-	if seed {
-		pads.SetSeedMode(true)
-		defer pads.SetSeedMode(false)
-	}
 	specs := chipsSpecs(b)
 	opts := &core.Options{Parallelism: parallelism, SkipExtraReps: true}
 	var padsUS int64
@@ -292,22 +286,18 @@ func benchRoutePass(b *testing.B, parallelism int, seed bool) {
 	b.ReportMetric(float64(padsUS)/1e3, "pads-ms")
 }
 
-// BenchmarkRouteSeed is the pre-A* baseline: Lee search, serial commit.
-func BenchmarkRouteSeed(b *testing.B) { benchRoutePass(b, 1, true) }
+// BenchmarkRouteSerial is Pass 3 with the moat×strategy combo race pinned
+// to one worker.
+func BenchmarkRouteSerial(b *testing.B) { benchRoutePass(b, 1) }
 
-// BenchmarkRouteSerial is Pass 3 with A* and the speculative pipeline
-// drained by a single worker.
-func BenchmarkRouteSerial(b *testing.B) { benchRoutePass(b, 1, false) }
+// BenchmarkRouteParallel is Pass 3 with the combo race on a
+// GOMAXPROCS-wide pool. Nets within one attempt always route serially;
+// the pool only matters on chips whose first combo fails.
+func BenchmarkRouteParallel(b *testing.B) { benchRoutePass(b, 0) }
 
-// BenchmarkRouteParallel is the tentpole arm: A* routing with speculative
-// net fan-out on a GOMAXPROCS-wide pool. Compare pads-ms against
-// BenchmarkRouteSeed for the Pass 3 speedup.
-func BenchmarkRouteParallel(b *testing.B) { benchRoutePass(b, 0, false) }
-
-// BenchmarkRouteParallelJ8 pins the pool width to 8 regardless of the
-// machine — the arm BENCH_PR5.json's pad_pass_speedup_j8 compares against
-// the seed.
-func BenchmarkRouteParallelJ8(b *testing.B) { benchRoutePass(b, 8, false) }
+// BenchmarkRouteParallelJ8 pins the combo-race pool width to 8 regardless
+// of the machine.
+func BenchmarkRouteParallelJ8(b *testing.B) { benchRoutePass(b, 8) }
 
 // BenchmarkCompileCachedHit is the serving path's hot case: the
 // CompileLarge spec re-requested through a warm content-addressed cache.

@@ -109,7 +109,7 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "directory for the persistent compile cache (empty = memory only)")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-request compile deadline")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown budget")
-	jobs := flag.Int("j", 1, "fan-out width per compile for Pass 1 elements and Pass 3 routing (0 = GOMAXPROCS; 1 serves throughput, the worker pool is the concurrency)")
+	jobs := flag.Int("j", 1, "fan-out width per compile for Pass 1 elements and Pass 3's moat×strategy race (0 = GOMAXPROCS; 1 serves throughput, the worker pool is the concurrency)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	logJSON := flag.Bool("log-json", false, "emit the log stream as JSON lines instead of logfmt-style text")
 	flightN := flag.Int("flight-n", 0, "flight recorder size: last N compiles kept with span trees (0 = 128)")

@@ -11,9 +11,20 @@ import (
 
 // TestAllocAttribution compiles the example chips solo and checks that
 // the per-pass deltas account for at least 90% of the whole-compile
-// allocation delta — the ISSUE 9 acceptance bar. Run with no parallel
-// siblings (the counters are process-wide).
+// allocation delta. Run with no parallel siblings (the counters are
+// process-wide).
+//
+// Each chip is compiled attributionCompiles times and the deltas are
+// summed before the bars are applied. The runtime/metrics object counter
+// credits a size class's allocations when its cached span is swapped out,
+// not per object, so one compile's delta can miss a whole span's worth of
+// objects per size class: shifter8, which makes ~5.6k allocations by
+// runtime.MemStats, read 2.1k–4.3k objects compile to compile, and single
+// compiles attributed 88.5%–100% of them, under the bar now and then.
+// That error is bounded per
+// compile, so summed over repeats the ratio settles on the true share.
 func TestAllocAttribution(t *testing.T) {
+	const attributionCompiles = 50
 	specs, err := filepath.Glob(filepath.Join("..", "..", "examples", "chips", "*.bb"))
 	if err != nil || len(specs) == 0 {
 		t.Fatalf("no example chips found: %v", err)
@@ -29,30 +40,40 @@ func TestAllocAttribution(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			chip, err := core.Compile(spec, &core.Options{})
-			if err != nil {
-				t.Fatal(err)
+			var att, total, corePass core.AllocDelta
+			for i := 0; i < attributionCompiles; i++ {
+				chip, err := core.Compile(spec, &core.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				a := chip.Allocs
+				// The passes are disjoint sub-intervals of the compile, so
+				// their deltas can never sum past the whole, lag or not.
+				if got := a.Attributed(); got.Objects > a.Total.Objects || got.Bytes > a.Total.Bytes {
+					t.Fatalf("attributed %+v exceeds total %+v", got, a.Total)
+				}
+				att.Add(a.Attributed())
+				total.Add(a.Total)
+				corePass.Add(a.Core)
 			}
-			a := chip.Allocs
-			if a.Total.Objects == 0 || a.Total.Bytes == 0 {
-				t.Fatalf("no total alloc delta recorded: %+v", a)
+			if total.Objects == 0 || total.Bytes == 0 {
+				t.Fatalf("no total alloc delta recorded: %+v", total)
 			}
-			if a.Core.Objects == 0 {
+			if corePass.Objects == 0 {
 				t.Error("core pass recorded zero allocations")
 			}
-			att := a.Attributed()
-			if att.Objects > a.Total.Objects || att.Bytes > a.Total.Bytes {
-				t.Errorf("attributed %+v exceeds total %+v", att, a.Total)
-			}
-			// ≥ 90% of the compile's allocations must land in a named pass.
-			if float64(att.Objects) < 0.9*float64(a.Total.Objects) {
+			// ≥ 90% of the compiles' allocations must land in a named pass.
+			if float64(att.Objects) < 0.9*float64(total.Objects) {
 				t.Errorf("object attribution %.1f%% < 90%% (attributed %d of %d)",
-					100*float64(att.Objects)/float64(a.Total.Objects), att.Objects, a.Total.Objects)
+					100*float64(att.Objects)/float64(total.Objects), att.Objects, total.Objects)
 			}
-			if float64(att.Bytes) < 0.9*float64(a.Total.Bytes) {
+			if float64(att.Bytes) < 0.9*float64(total.Bytes) {
 				t.Errorf("byte attribution %.1f%% < 90%% (attributed %d of %d)",
-					100*float64(att.Bytes)/float64(a.Total.Bytes), att.Bytes, a.Total.Bytes)
+					100*float64(att.Bytes)/float64(total.Bytes), att.Bytes, total.Bytes)
 			}
+			t.Logf("attributed %.1f%% of objects, %.1f%% of bytes over %d compiles",
+				100*float64(att.Objects)/float64(total.Objects),
+				100*float64(att.Bytes)/float64(total.Bytes), attributionCompiles)
 		})
 	}
 }

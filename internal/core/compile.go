@@ -49,12 +49,11 @@ type Options struct {
 	// timing ablation).
 	SkipExtraReps bool
 	// Parallelism bounds the worker pools of Pass 1's element fan-out and
-	// Pass 3's speculative net routing: 0 (the default) selects
+	// Pass 3's (moat, strategy) combo race: 0 (the default) selects
 	// GOMAXPROCS, 1 runs the serial paths. The compiled chip is
 	// byte-identical at every setting — Pass 1's fan-in reassembles in
-	// column order, and Pass 3 commits speculative routes in routing
-	// order — so this knob is deliberately excluded from the compile
-	// cache key.
+	// column order, and Pass 3 keeps the lowest-index combo that routes —
+	// so this knob is deliberately excluded from the compile cache key.
 	Parallelism int
 }
 
@@ -96,14 +95,17 @@ type Stats struct {
 	ControlJoins          int // poly fillers joining core control/clock lines to the decoder
 	PadRequests           int // connection points handed to Pass 3's Roto-Router
 
-	// Pass 3 routing counters (pads.RouteStats): the speculative routing
-	// pipeline runs at every Parallelism, so these too are deterministic
-	// for a given (spec, options) pair at every pool size.
-	RouteNets          int64 // routing units committed across all rip-up attempts
-	RouteConflicts     int64 // speculative routes invalidated by an earlier commit
-	RouteRetries       int64 // serial re-routes that repaired discarded speculation
-	RouteCellsExpanded int64 // cells the committed searches expanded
-	RouteFrontierPeak  int64 // widest frontier any committed search reached
+	// Pass 3 routing counters (pads.RouteStats): nets route serially in a
+	// fixed order, so these too are deterministic for a given (spec,
+	// options) pair at every pool size.
+	RouteNets          int64 // routing units routed across all rip-up attempts
+	RouteCellsExpanded int64 // cells the searches expanded
+	RouteFrontierPeak  int64 // widest frontier any search reached
+	// RouteConflicts and RouteRetries always read 0: Pass 3 routes
+	// serially, so no route is ever invalidated or retried. They are kept
+	// because the benchmark harness compiles against them.
+	RouteConflicts int64
+	RouteRetries   int64
 }
 
 // Chip is the compilation result carrying all representations.
@@ -151,7 +153,7 @@ type Chip struct {
 // Version identifies the compiler for content-addressed caching: any
 // change that can alter the compiled output for the same (spec, options)
 // pair must bump it, or cache layers will serve stale results.
-const Version = "bristleblocks-7"
+const Version = "bristleblocks-8"
 
 // Compile runs the three-pass silicon compiler on the specification.
 func Compile(spec *Spec, opts *Options) (*Chip, error) {
@@ -245,8 +247,6 @@ func CompileCtx(ctx context.Context, spec *Spec, opts *Options) (*Chip, error) {
 		err = chip.padPass(trace.WithSpan(ctx, padSpan))
 		padSpan.Attr("pad_requests", strconv.Itoa(chip.Stats.PadRequests)).
 			Attr("route_nets", strconv.FormatInt(chip.Stats.RouteNets, 10)).
-			Attr("route_conflicts", strconv.FormatInt(chip.Stats.RouteConflicts, 10)).
-			Attr("route_retries", strconv.FormatInt(chip.Stats.RouteRetries, 10)).
 			Attr("route_cells_expanded", strconv.FormatInt(chip.Stats.RouteCellsExpanded, 10))
 		allocO5, allocB5 := rtm.ReadAllocs()
 		chip.Allocs.Pads = AllocDelta{Objects: allocO5 - allocO4, Bytes: allocB5 - allocB4}
@@ -831,7 +831,7 @@ func (c *Chip) padPass(ctx context.Context) error {
 	}
 	// Like the decoder, the pad ring is one memoizable unit: same bounds
 	// and request list mean a byte-identical ring (Parallelism changes only
-	// speculation, never the committed routes). The cached Ring is read-only
+	// how many combos race, never the winner). The cached Ring is read-only
 	// downstream, so it is served without cloning.
 	store := incr.FromContext(ctx)
 	evenPads := c.Options.EvenPads || c.Spec.EvenPads
@@ -866,8 +866,6 @@ func (c *Chip) padPass(ctx context.Context) error {
 	c.Stats.PadCount = ring.PadCount
 	c.Stats.WireLen = ring.TotalWireLen
 	c.Stats.RouteNets = ring.RouteStats.Nets
-	c.Stats.RouteConflicts = ring.RouteStats.Conflicts
-	c.Stats.RouteRetries = ring.RouteStats.Retries
 	c.Stats.RouteCellsExpanded = ring.RouteStats.CellsExpanded
 	c.Stats.RouteFrontierPeak = ring.RouteStats.FrontierPeak
 	return nil

@@ -7,8 +7,8 @@ import (
 )
 
 // poolSize and runIndexed delegate to the shared internal/pool package
-// (Pass 3's speculative routing uses the same scheduler from the pads
-// package, which cannot import core).
+// (Pass 3's combo race sizes its pool there too, from the pads package,
+// which cannot import core).
 
 func poolSize(parallelism, items int) int {
 	return pool.Size(parallelism, items)

@@ -1,7 +1,7 @@
 // Package profring is a continuous-profiling ring: it periodically
 // captures CPU and heap profiles into a bounded on-disk ring so that a
 // production bottleneck — a pathological spec, a GC death spiral, a
-// stuck routing wave — is diagnosable *after the fact* from the window
+// stuck rip-up ladder — is diagnosable *after the fact* from the window
 // around the incident, without anyone having had a pprof session open at
 // the time. The daemon serves the ring at /debug/profiles (JSON index)
 // and /debug/profiles/{id} (raw pprof bytes, `go tool pprof`-ready).

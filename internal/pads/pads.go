@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -29,33 +28,6 @@ import (
 	"bristleblocks/internal/route"
 	"bristleblocks/internal/trace"
 )
-
-// debugRoute enables routing diagnostics in tests.
-var debugRoute = false
-
-var debugDump = false
-
-// claimCorridors toggles corridor pre-claiming (experiment knob).
-var claimCorridors = true
-
-// seedMode forces the seed configuration — Lee wavefront search and the
-// pure serial route loop with no speculation — so benchmarks can measure
-// the A* + fan-out rework against the behavior it replaced.
-var seedMode = false
-
-// routeWave is the number of routing units speculated per wave. A
-// constant (never derived from Options.Parallelism): the wave boundaries
-// shape the committed wires, and they must be identical at every pool
-// size for Pass 3's output to be parallelism-invariant. Small enough that
-// intra-wave collisions stay rare in a crowded moat, large enough to keep
-// a full pool busy.
-const routeWave = 16
-
-// SetSeedMode toggles the seed-baseline configuration (benchmark knob).
-func SetSeedMode(on bool) { seedMode = on }
-
-// DebugRoute toggles routing diagnostics (test helper).
-func DebugRoute(on bool) { debugRoute = on }
 
 // Request is one pad-needing connection point, in chip coordinates.
 type Request struct {
@@ -107,22 +79,16 @@ type Ring struct {
 	RouteStats RouteStats
 }
 
-// RouteStats counts Pass 3's routing work. The speculative pipeline runs
-// at every Options.Parallelism — a single worker just drains it serially —
-// so every counter is a pure function of the input, and the determinism
-// tests may compare them across pool sizes.
+// RouteStats counts Pass 3's routing work. Nets route serially in a fixed
+// order, so every counter is a pure function of the input, and the
+// determinism tests may compare them across pool sizes.
 type RouteStats struct {
-	// Nets is the number of routing units committed (one unit = one pad's
-	// net with all its branch targets), including units of failed rip-up
-	// attempts that committed before the failure.
+	// Nets is the number of routing units routed (one unit = one pad's net
+	// with all its branch targets), including units of failed rip-up
+	// attempts that routed before the failure.
 	Nets int64
-	// Conflicts counts speculative routes invalidated by an earlier unit's
-	// commit; Retries counts the serial re-routes that repaired them (a
-	// discarded speculative result always re-routes on the live grid).
-	Conflicts int64
-	Retries   int64
-	// CellsExpanded and FrontierPeak summarize the committed searches (see
-	// route.SearchStats); discarded speculative work is not counted.
+	// CellsExpanded and FrontierPeak summarize the searches (see
+	// route.SearchStats).
 	CellsExpanded int64
 	FrontierPeak  int64
 }
@@ -138,8 +104,6 @@ func (s *RouteStats) add(o route.SearchStats) {
 // merge folds another attempt's stats into s (FrontierPeak by max).
 func (s *RouteStats) merge(o RouteStats) {
 	s.Nets += o.Nets
-	s.Conflicts += o.Conflicts
-	s.Retries += o.Retries
 	s.CellsExpanded += o.CellsExpanded
 	if o.FrontierPeak > s.FrontierPeak {
 		s.FrontierPeak = o.FrontierPeak
@@ -163,7 +127,8 @@ type Options struct {
 	// blocks of different widths), while the ring is still sized around
 	// the bounds passed to Build. Requests should carry Outward hints.
 	Obstacles []geom.Rect
-	// Parallelism bounds the speculative routing pool (<=0 = GOMAXPROCS).
+	// Parallelism bounds the pool that races the remaining (moat,
+	// strategy) combos once the first combo fails (<=0 = GOMAXPROCS).
 	// Output is byte-identical at every value.
 	Parallelism int
 }
@@ -192,8 +157,8 @@ func Build(coreBounds geom.Rect, reqs []Request, opts *Options) (*Ring, error) {
 }
 
 // BuildCtx is Build with cancellation and tracing: the context is checked
-// between rip-up attempts and inside the speculative routing fan-out, and
-// a trace.Trace on the context receives one span per routed net.
+// before every routed net, and a trace.Trace on the context receives one
+// span per routed net.
 func BuildCtx(ctx context.Context, coreBounds geom.Rect, reqs []Request, opts *Options) (*Ring, error) {
 	if opts == nil {
 		opts = &Options{}
@@ -254,25 +219,17 @@ func BuildCtx(ctx context.Context, coreBounds geom.Rect, reqs []Request, opts *O
 		wg     sync.WaitGroup
 	)
 	runCombo := func(j int) *comboOut {
-		if debugRoute {
-			fmt.Printf("== moat %d strategy %d\n", combos[j].moat, combos[j].strategy)
-			debugDump = true
-		}
 		out := &comboOut{}
 		out.ring, out.err = buildAttemptStrategy(jctx[j], coreBounds, reqs, opts, combos[j].moat, combos[j].strategy, &out.rs)
 		outs[j] = out
 		return out
 	}
-	// Combo 0 runs first, alone: in the common case it succeeds, the other
-	// combos never start, and the pool's whole width was available to its
-	// internal wave speculation. Only a combo-0 failure fans the rest of
-	// the grid out to race — a failure means the ladder is hard, and
+	// Combo 0 runs first, alone: in the common case it succeeds and the
+	// other combos never start. Only a combo-0 failure fans the rest of the
+	// grid out to race — a failure means the ladder is hard, and
 	// overlapping the surviving combos is where racing actually pays.
 	if runCombo(0).err != nil && n > 1 {
 		workers := pool.Size(opts.Parallelism, n-1)
-		if seedMode {
-			workers = 1
-		}
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
@@ -328,20 +285,18 @@ func buildAttempt(coreBounds geom.Rect, reqs []Request, opts *Options, moat geom
 }
 
 func buildAttemptStrategy(ctx context.Context, coreBounds geom.Rect, reqs []Request, opts *Options, moat geom.Coord, strategy int, rs *RouteStats) (*Ring, error) {
-
 	// Shared nets collapse to one pad each; the extra connection points
 	// are wired to the same pad net afterwards.
 	var padReqs []Request
 	extra := make(map[string][]Request)
-	seen := make(map[string]int)
+	seen := make(map[string]bool)
 	for _, rq := range reqs {
 		if sharedClasses[rq.Class] {
-			if i, ok := seen[rq.Net]; ok {
+			if seen[rq.Net] {
 				extra[rq.Net] = append(extra[rq.Net], rq)
-				_ = i
 				continue
 			}
-			seen[rq.Net] = len(padReqs)
+			seen[rq.Net] = true
 		}
 		padReqs = append(padReqs, rq)
 	}
@@ -402,27 +357,25 @@ func buildAttemptStrategy(ctx context.Context, coreBounds geom.Rect, reqs []Requ
 	// (classic rip-up-and-reroute).
 	baseOrder, cutAngle, hasCut := routingOrder(placements, center, strategy)
 	band := geom.L(16)
+	template, err := drawObstacles(bounds, coreBounds, band, placements, extra, opts.Obstacles, cutAngle, hasCut)
+	if err != nil {
+		return nil, err
+	}
+	maxD := bounds.W()
+	if bounds.H() > maxD {
+		maxD = bounds.H()
+	}
 	var wires []Wire
 	var lastErr error
-	var rcache *route.Router // recycled across the ladder's attempts
+	var router *route.Router // restored from the template each attempt
 	fails := make(map[int]int)
 	order := baseOrder
 	rng := rand.New(rand.NewSource(int64(strategy)*7919 + 17))
 	for attempt := 0; attempt <= 3*len(placements); attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Speculation pays on the first attempt of a ladder; once an
-		// attempt has failed, later attempts tend to fail early too, and
-		// speculating whole waves ahead of an early failure is pure waste —
-		// the retries run serially (attempt numbers are deterministic, so
-		// this costs nothing in parallelism-invariance).
-		wires, lastErr = routeAll(ctx, bounds, coreBounds, band, placements, order, extra, opts, cutAngle, hasCut, rs, &rcache, attempt == 0)
+		router = template.CloneInto(router)
+		wires, lastErr = routeAll(ctx, router, coreBounds, band, maxD, placements, order, extra, rs)
 		if lastErr == nil {
 			break
-		}
-		if debugRoute {
-			fmt.Printf("ATTEMPT %d failed: %v\n", attempt, lastErr)
 		}
 		if fi, ok := failedIndex(lastErr, placements); ok {
 			// Rip-up-and-reroute: wires that have failed float to the
@@ -470,61 +423,24 @@ type routeErr struct {
 
 func (e *routeErr) Error() string { return e.err.Error() }
 
-// routeAll routes every wire in the given order over a fresh router.
-//
-// The serial contract is the spec: conceptually each unit (one placement
-// and all its branch targets) routes in `order` against the grid state its
-// predecessors left behind. The implementation speculates: after the
-// static setup every unit routes concurrently against a Clone of that
-// common snapshot while recording its read/write Footprint, then the
-// commit loop walks `order` and, per unit, either proves the speculative
-// result is exactly what the serial order would have produced (no read of
-// a free cell was invalidated by an earlier commit, no committed foreign
-// segment entered the region the unit geometry-checked) and replays its
-// writes — or discards it and re-routes the unit serially on the live
-// grid, which is the seed code path. Ownership is monotone during the
-// phase (cells only go free→owned), so rejections can never be
-// invalidated, only acceptances — that is what makes read-validation
-// sufficient. A conflict budget degrades the whole tail to the seed
-// serial order on pathological specs. Output is therefore byte-identical
-// to the serial router at every Parallelism, and because the speculation
-// itself also runs at every Parallelism (a single worker drains it
-// serially), the conflict/retry counters are deterministic too.
-func routeAll(ctx context.Context, bounds, coreBounds geom.Rect, band geom.Coord, placements []placed, order []int, extra map[string][]Request, opts *Options, cutAngle float64, hasCut bool, rs *RouteStats, rcache **route.Router, speculate bool) ([]Wire, error) {
-	extraObstacles := opts.Obstacles
-	maxD := bounds.W()
-	if bounds.H() > maxD {
-		maxD = bounds.H()
-	}
+// drawObstacles draws one ring's fixed obstacles into a template router.
+// They depend only on the placement and the strategy's cut, never on the
+// routing order, so every rip-up attempt restores its grid from the
+// template instead of redrawing them.
+func drawObstacles(bounds, coreBounds geom.Rect, band geom.Coord, placements []placed, extra map[string][]Request, obstacles []geom.Rect, cutAngle float64, hasCut bool) (*route.Router, error) {
 	// 14λ pitch: even a wire pinned to one edge of its cell (off-grid
 	// endpoints) keeps 3λ of metal spacing from a wire centered in the
-	// neighboring cell. The router is recycled across the ladder's
-	// attempts (same bounds every time); seedMode rebuilds it per attempt
-	// like the seed did.
-	var router *route.Router
-	if !seedMode && *rcache != nil {
-		router = *rcache
-		router.Reset()
-	} else {
-		var err error
-		router, err = route.New(bounds.Inset(-geom.L(4)), geom.L(14))
-		if err != nil {
-			return nil, err
-		}
-		router.EnableJournal()
-		if !seedMode {
-			*rcache = router
-		}
-	}
-	if seedMode {
-		router.SetAlgorithm(route.Lee)
+	// neighboring cell.
+	router, err := route.New(bounds.Inset(-geom.L(4)), geom.L(14))
+	if err != nil {
+		return nil, err
 	}
 	// The core plus a reserved band around it is an obstacle: routed wires
 	// stay out of the band, and each connection point is reached by a
 	// straight perpendicular leg crossing it, so wires cannot seal off a
 	// connection point.
-	if len(extraObstacles) > 0 {
-		for _, ob := range extraObstacles {
+	if len(obstacles) > 0 {
+		for _, ob := range obstacles {
 			router.Block(ob.Inset(-band), "core!")
 		}
 	} else {
@@ -581,231 +497,58 @@ func routeAll(ctx context.Context, bounds, coreBounds geom.Rect, band geom.Coord
 	// Pre-claim every connection point's entry corridor (through the band
 	// plus one routing cell) so no trunk can hug the band across another
 	// net's approach.
-	if claimCorridors {
-		for _, p := range placements {
-			for _, tgt := range append([]Request{p.req}, extra[p.req.Net]...) {
-				dir := outwardFor(tgt, coreBounds)
-				depth := band + geom.L(30)
-				cor := geom.R(tgt.At.X, tgt.At.Y,
-					tgt.At.X+dir.X*depth, tgt.At.Y+dir.Y*depth).Inset(-geom.L(4))
-				router.Claim(cor, p.req.Net)
-			}
+	for _, p := range placements {
+		for _, tgt := range append([]Request{p.req}, extra[p.req.Net]...) {
+			dir := outwardFor(tgt, coreBounds)
+			depth := band + geom.L(30)
+			cor := geom.R(tgt.At.X, tgt.At.Y,
+				tgt.At.X+dir.X*depth, tgt.At.Y+dir.Y*depth).Inset(-geom.L(4))
+			router.Claim(cor, p.req.Net)
 		}
 	}
+	return router, nil
+}
 
-	// ---- Speculative fan-out in waves.
-	//
-	// Units route in fixed waves of routeWave: each wave snapshots the
-	// master grid (all earlier commits included), routes its units in
-	// parallel against private clones of that snapshot, then commits them
-	// in routing order. A speculative result commits iff it cannot collide
-	// with anything committed after its snapshot: no cell its wires claimed
-	// was claimed by an intra-wave predecessor (write-collision via the
-	// journal), and its wires' true geometry keeps metal spacing from every
-	// segment committed since the snapshot. Either check failing — or the
-	// unit having failed outright against the snapshot — sends the unit to
-	// the serial path, which re-routes it live exactly like the seed loop.
-	//
-	// The wave size is a constant and the commit order is the routing
-	// order, so the whole pipeline — snapshots, speculation inputs, commit
-	// decisions — is identical at every Parallelism and the output is
-	// byte-identical to the -j 1 run.
-	master := router
-	master.EnableJournal()
-	var segments []netSeg
+// routeAll routes every unit (one placement's net with all its branch
+// targets) in the given order on router, which holds the attempt's fixed
+// obstacles. Each unit routes against the grid its predecessors left
+// behind; the first unit that fails ends the attempt with a routeErr
+// naming it, so the rip-up ladder can move it forward.
+func routeAll(ctx context.Context, router *route.Router, coreBounds geom.Rect, band, maxD geom.Coord, placements []placed, order []int, extra map[string][]Request, rs *RouteStats) ([]Wire, error) {
 	tr := trace.FromContext(ctx)
 	parent := trace.SpanFromContext(ctx)
-
-	// Units that share a net name with an earlier unit stay on the serial
-	// path: they branch from their trunk via NearestOwned, which reads the
-	// net's own cells — the one read the footprint deliberately does not
-	// record (see route.NearestOwned).
-	firstOfNet := make(map[string]int, len(order))
-	forced := make([]bool, len(order))
-	for k, i := range order {
-		net := placements[i].req.Net
-		if _, dup := firstOfNet[net]; dup {
-			forced[k] = true
-		} else {
-			firstOfNet[net] = k
-		}
-	}
-
-	type unitOut struct {
-		wires []Wire
-		segs  []netSeg // segments the unit appended past its snapshot
-		fp    route.Footprint
-		stats route.SearchStats
-		err   error
-	}
-	conflictBudget := len(order)/2 + 2
-	fellBack := false
+	defer func() { rs.add(router.Stats()) }()
+	u := &unitCtx{router: router}
 	var wires []Wire
-	// The speculation width: -j resolved against the wave size, then
-	// clamped to 2×GOMAXPROCS. Routing is CPU-bound, so workers beyond the
-	// processors available contribute no throughput — they only add live
-	// grid clones for the cache and the collector to churn through. The
-	// clamp changes scheduling only; the commit protocol makes the output
-	// identical at every width.
-	specWidth := pool.Size(opts.Parallelism, routeWave)
-	if lim := 2 * runtime.GOMAXPROCS(0); specWidth > lim {
-		specWidth = lim
+	for _, i := range order {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		p := placements[i]
+		span := tr.StartSpan(parent, "route."+p.req.Net, trace.PassPads, trace.Coordinator)
+		before := router.Stats().CellsExpanded
+		uw, err := routeUnit(u, p, extra, coreBounds, band, maxD)
+		span.Attr("net", p.req.Net).
+			Attr("cells_expanded", strconv.FormatInt(router.Stats().CellsExpanded-before, 10))
+		span.End()
+		if err != nil {
+			return nil, &routeErr{idx: i, err: err}
+		}
+		wires = append(wires, uw...)
+		rs.Nets++
 	}
-	// Per-worker clone buffers, reused wave to wave: a speculative unit
-	// costs one owner-grid memcpy instead of a full router allocation
-	// (owner grid, name tables, search scratch — the allocator dominated
-	// the parallel arm before this).
-	clones := make([]*route.Router, specWidth)
-	for base := 0; base < len(order); base += routeWave {
-		lim := base + routeWave
-		if lim > len(order) {
-			lim = len(order)
-		}
-		outs := make([]*unitOut, lim-base)
-		snapSeq := master.Seq()
-		// Full-slice so concurrent appends by clones cannot share backing.
-		snapSegs := segments[:len(segments):len(segments)]
-		if speculate && !seedMode && !fellBack {
-			// Returning the unit's own routing error stops dispatch past
-			// the first failure — the commit loop re-routes the failed unit
-			// (and the rest of its wave) serially on the live grid, where
-			// intra-wave predecessors' claims may make it succeed.
-			//
-			// firstFail lets in-flight workers bail out too: everything past
-			// the lowest failed index is discarded below at every pool
-			// width, so skipping those units loses nothing and saves a wide
-			// pool from routing a wave tail the commit loop will throw away.
-			firstFail := int32(lim - base)
-			_ = pool.RunIndexed(ctx, specWidth, lim-base, func(worker, j int) error {
-				k := base + j
-				if forced[k] || int32(j) > atomic.LoadInt32(&firstFail) {
-					return nil
-				}
-				p := placements[order[k]]
-				span := tr.StartSpan(parent, "route."+p.req.Net, trace.PassPads, worker)
-				out := &unitOut{}
-				clone := master.CloneInto(clones[worker])
-				clones[worker] = clone
-				clone.SetRecorder(&out.fp)
-				u := &unitCtx{router: clone, segs: snapSegs}
-				out.wires, out.err = routeUnit(u, p, extra, coreBounds, band, maxD)
-				out.segs = u.segs[len(snapSegs):]
-				out.stats = clone.Stats()
-				span.Attr("net", p.req.Net).
-					Attr("cells_expanded", strconv.FormatInt(out.stats.CellsExpanded, 10)).
-					Attr("speculative", "true")
-				span.End()
-				outs[j] = out
-				if out.err != nil {
-					for {
-						cur := atomic.LoadInt32(&firstFail)
-						if int32(j) >= cur || atomic.CompareAndSwapInt32(&firstFail, cur, int32(j)) {
-							break
-						}
-					}
-				}
-				return out.err
-			})
-			// Speculative results past the first failure may or may not
-			// exist depending on pool size — drop them all,
-			// deterministically: the rest of the wave routes serially at
-			// every Parallelism.
-			for j := range outs {
-				if outs[j] != nil && outs[j].err != nil {
-					for j2 := j + 1; j2 < len(outs); j2++ {
-						outs[j2] = nil
-					}
-					break
-				}
-			}
-		}
-
-		// In-order commit of the wave.
-		for k := base; k < lim; k++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			i := order[k]
-			p := placements[i]
-			out := outs[k-base]
-			if out != nil && !fellBack && out.err == nil {
-				conflict := master.ConflictSince(&out.fp, snapSeq)
-				if !conflict {
-					// 2λ half-width + 3λ spacing vs segments already
-					// inflated by 2λ — the same gate routeToTarget applies
-					// while routing, re-run against the segments this
-					// unit's snapshot did not include.
-				recheck:
-					for _, w := range out.wires {
-						for s := 0; s+1 < len(w.Path); s++ {
-							r := geom.R(w.Path[s].X, w.Path[s].Y, w.Path[s+1].X, w.Path[s+1].Y).Inset(-geom.L(5))
-							for _, sg := range segments[len(snapSegs):] {
-								if sg.net != p.req.Net && sg.r.Overlaps(r) {
-									conflict = true
-									break recheck
-								}
-							}
-						}
-					}
-				}
-				if !conflict {
-					master.BumpSeq()
-					master.Apply(&out.fp, p.req.Net)
-					master.AddStats(out.stats)
-					segments = append(segments, out.segs...)
-					wires = append(wires, out.wires...)
-					rs.Nets++
-					continue
-				}
-				rs.Conflicts++
-				conflictBudget--
-				if conflictBudget <= 0 {
-					// Pathological spec: stop validating speculation and
-					// let the whole tail degrade to the seed serial order.
-					fellBack = true
-				}
-			}
-			// Serial (re-)route on the live grid — the seed code path.
-			master.BumpSeq()
-			span := tr.StartSpan(parent, "route."+p.req.Net, trace.PassPads, trace.Coordinator)
-			before := master.Stats()
-			u := &unitCtx{router: master, segs: segments}
-			uw, err := routeUnit(u, p, extra, coreBounds, band, maxD)
-			delta := master.Stats()
-			delta.CellsExpanded -= before.CellsExpanded
-			retried := out != nil
-			span.Attr("net", p.req.Net).
-				Attr("cells_expanded", strconv.FormatInt(delta.CellsExpanded, 10)).
-				Attr("retry", strconv.FormatBool(retried))
-			span.End()
-			if retried {
-				rs.Retries++
-			}
-			if err != nil {
-				rs.add(master.Stats())
-				return nil, &routeErr{idx: i, err: err}
-			}
-			segments = u.segs
-			wires = append(wires, uw...)
-			rs.Nets++
-		}
-	}
-	rs.add(master.Stats())
 	return wires, nil
 }
 
-// unitCtx is the state one routing unit works against: a router (the live
-// master on the serial path, a private Clone during speculation) and the
-// drawn-segment list it reads for geometry checks and appends to.
+// unitCtx is the state the units of one attempt route against: the live
+// router and the drawn-segment list each unit reads for geometry checks
+// and appends to.
 type unitCtx struct {
 	router *route.Router
 	segs   []netSeg
 }
 
 // foreignSegClash reports whether r overlaps another net's drawn segment.
-// A speculative unit sees only the segments that existed at its snapshot
-// (none, for Pass 3's fan-out); the commit loop re-applies this gate to
-// the unit's final wire geometry against every segment committed since.
 func (u *unitCtx) foreignSegClash(net string, r geom.Rect) bool {
 	for _, s := range u.segs {
 		if s.net != net && s.r.Overlaps(r) {
@@ -816,9 +559,7 @@ func (u *unitCtx) foreignSegClash(net string, r geom.Rect) bool {
 }
 
 // routeUnit routes one placement's net — the trunk from its pad stub plus
-// a branch per extra target — appending drawn segments to u.segs. This is
-// the body the serial loop always had; it now runs against a unitCtx so
-// speculation and the serial path share every decision.
+// a branch per extra target — appending drawn segments to u.segs.
 func routeUnit(u *unitCtx, p placed, extra map[string][]Request, coreBounds geom.Rect, band, maxD geom.Coord) ([]Wire, error) {
 	var wires []Wire
 	targets := append([]Request{p.req}, extra[p.req.Net]...)
@@ -867,16 +608,6 @@ func failedIndex(err error, placements []placed) (int, bool) {
 	return re.idx, true
 }
 
-func moveToFront(order []int, idx int) []int {
-	out := []int{idx}
-	for _, i := range order {
-		if i != idx {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // netSeg is one drawn wire segment (inflated) with its net, for geometric
 // leg checking.
 type netSeg struct {
@@ -902,29 +633,16 @@ func routeToTarget(u *unitCtx, net string, from geom.Point, tgt Request, core ge
 	for d := band + geom.L(6); d <= band+maxD; d += geom.L(6) {
 		ap := geom.Pt(to.X+dir.X*d, to.Y+dir.Y*d)
 		if o := router.Owner(ap); o != "" && o != net {
-			if debugRoute {
-				fmt.Printf("  d=%d ap=%v owned by %q\n", d, ap, o)
-			}
 			continue
 		}
 		// The leg's true geometry must keep metal spacing from every
 		// other net's drawn wire (2λ half-width + 3λ spacing).
 		leg := geom.R(to.X, to.Y, ap.X, ap.Y).Inset(-geom.L(5))
 		if u.foreignSegClash(net, leg) {
-			if debugRoute {
-				fmt.Printf("  d=%d ap=%v leg blocked\n", d, ap)
-			}
 			continue
 		}
 		pts, err := router.Route(net, from, ap)
 		if err != nil {
-			if debugRoute {
-				fmt.Printf("  d=%d ap=%v route err: %v\n", d, ap, err)
-				if debugDump {
-					router.DumpOwners()
-					debugDump = false
-				}
-			}
 			continue
 		}
 		// Hard geometric gate: the drawn path must keep metal spacing
@@ -936,9 +654,6 @@ func routeToTarget(u *unitCtx, net string, from geom.Point, tgt Request, core ge
 			clash = u.foreignSegClash(net, r)
 		}
 		if clash {
-			if debugRoute {
-				fmt.Printf("  d=%d ap=%v geometric clash\n", d, ap)
-			}
 			continue
 		}
 		// Claim the leg corridor so later wires keep clear of it.
@@ -1011,13 +726,6 @@ func routingOrder(placements []placed, center geom.Point, strategy int) ([]int, 
 			}
 		}
 		if cut >= 0 {
-			if debugRoute {
-				fmt.Printf("CUT at %.2f rad\n", cut)
-				for _, p := range placements {
-					fmt.Printf("  arc %-8s stub %.2f target %.2f\n", p.req.Net,
-						clockAngle(p.s.stub, center), clockAngle(p.req.At, center))
-				}
-			}
 			key := func(i int) float64 {
 				ang := clockAngle(placements[i].req.At, center) - cut
 				if ang < 0 {
@@ -1372,28 +1080,4 @@ func walkPerimeter(inner geom.Rect, d int64) slot {
 		t := geom.At(geom.R90, inner.MinX, y-wireX)
 		return slot{side: 3, center: geom.Pt(inner.MinX-geom.L(28), y), stub: geom.Pt(inner.MinX, y), t: t}
 	}
-}
-
-// SetClaimCorridors toggles corridor pre-claiming (test knob).
-func SetClaimCorridors(on bool) { claimCorridors = on }
-
-func absC(c geom.Coord) geom.Coord {
-	if c < 0 {
-		return -c
-	}
-	return c
-}
-
-func minC(a, b geom.Coord) geom.Coord {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxC(a, b geom.Coord) geom.Coord {
-	if a > b {
-		return a
-	}
-	return b
 }

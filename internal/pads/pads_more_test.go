@@ -224,3 +224,42 @@ func TestEvenSpacingOption(t *testing.T) {
 		t.Errorf("pulled estimate %d worse than even %d", pulled.EstimatedLen, even.EstimatedLen)
 	}
 }
+
+// TestRipUpIdenticalAcrossParallelism crowds eight pads onto the core's
+// west edge, so the first attempt of the first (moat, strategy) combo
+// fails, its rip-up ladder runs out, and the remaining combos race on the
+// pool. Every attempt restores its grid from the combo's obstacle
+// template; the ring and its RouteStats must not depend on how many
+// combos raced.
+func TestRipUpIdenticalAcrossParallelism(t *testing.T) {
+	core := geom.R(0, 0, geom.L(400), geom.L(300))
+	const n = 8
+	var reqs []Request
+	for i := 0; i < n; i++ {
+		reqs = append(reqs, Request{
+			Net: fmt.Sprintf("w%d", i), Class: "io",
+			At:    geom.Pt(core.MinX, core.MinY+geom.Coord(i+1)*geom.L(300)/(n+1)),
+			Layer: layer.Metal,
+		})
+	}
+	serial, err := Build(core, reqs, &Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial.RouteStats.Nets <= int64(serial.PadCount) {
+		t.Fatalf("RouteStats.Nets = %d for %d pads: the first attempt did not fail",
+			serial.RouteStats.Nets, serial.PadCount)
+	}
+	for run := 0; run < 3; run++ {
+		wide, err := Build(core, reqs, &Options{Parallelism: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wide.RouteStats != serial.RouteStats {
+			t.Fatalf("RouteStats at -j 4 %+v, at -j 1 %+v", wide.RouteStats, serial.RouteStats)
+		}
+		if !reflect.DeepEqual(wide, serial) {
+			t.Fatal("ring at -j 4 differs from the ring at -j 1")
+		}
+	}
+}

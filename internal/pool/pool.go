@@ -1,8 +1,8 @@
 // Package pool is the bounded worker pool shared by the compile passes.
-// Pass 1's element fan-out and Pass 3's speculative net routing both pull
-// ascending indices from a pool of at most Options.Parallelism goroutines;
-// the scheduling lives here so the passes can share it without an import
-// cycle (pads cannot import core).
+// Pass 1's element fan-out pulls ascending indices from a pool of at most
+// Options.Parallelism goroutines, and Pass 3's moat×strategy race sizes
+// its pool with Size; the scheduling lives here so the passes can share it
+// without an import cycle (pads cannot import core).
 package pool
 
 import (

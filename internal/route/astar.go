@@ -5,8 +5,7 @@
 // changes by exactly ±1, and f parity is fixed by the start/goal cells).
 // The open list therefore needs no heap: two FIFO buckets suffice — `cur`
 // holds the current f-level, `next` holds f+2, and when cur drains the
-// buckets swap. Lee (h = 0) degenerates to the same loop with every push
-// going to next, which is exactly the seed's breadth-first wavefront.
+// buckets swap.
 //
 // Ties within a bucket pop in push (FIFO) order and neighbors are visited
 // in a fixed order, so the search — and every path it returns — is fully
@@ -42,7 +41,7 @@ type scratch struct {
 	prev   []int32  // predecessor cell on that path (-1 at the start)
 	epoch  uint32
 	cur    []int32 // FIFO bucket for the current f-level
-	next   []int32 // FIFO bucket for f-level + 2 (A*) / + 1 (Lee)
+	next   []int32 // FIFO bucket for f-level + 2
 	path   []int32 // walk-back buffer
 
 	// Failed-flood cache. A search that finds no path has flooded every
@@ -153,10 +152,7 @@ func (r *Router) search(id netID, sx, sy, tx, ty int) ([]int32, bool) {
 	sc := r.sc
 	start := int32(r.idx(sx, sy))
 	goal := int32(r.idx(tx, ty))
-	// The flood cache is part of the A* engine; the Lee reference keeps the
-	// seed's cost behavior (one full flood per failed probe) so benchmarks
-	// measure the rework against what it replaced.
-	if r.alg == AStar && sc.floodOK && sc.floodID == id && sc.floodStart == start {
+	if sc.floodOK && sc.floodID == id && sc.floodStart == start {
 		if sc.stamp[goal] != sc.epoch {
 			// The previous search from this start flooded everything
 			// reachable and never stamped this goal, and nothing has
@@ -184,7 +180,6 @@ func (r *Router) search(id netID, sx, sy, tx, ty int) ([]int32, bool) {
 		return sc.path, true
 	}
 
-	astar := r.alg == AStar
 	cur, next := sc.cur[:0], sc.next[:0]
 	cur = append(cur, start)
 	head := 0
@@ -231,8 +226,8 @@ func (r *Router) search(id netID, sx, sy, tx, ty int) ([]int32, bool) {
 			sc.stamp[ni] = e
 			sc.gval[ni] = ng
 			sc.prev[ni] = ci
-			// Same f-level iff the heuristic dropped; Lee (h=0) always +1.
-			if astar && abs(nx2-tx)+abs(ny2-ty) < hc {
+			// Same f-level iff the heuristic dropped.
+			if abs(nx2-tx)+abs(ny2-ty) < hc {
 				cur = append(cur, ni)
 			} else {
 				next = append(next, ni)
@@ -249,9 +244,7 @@ func (r *Router) search(id netID, sx, sy, tx, ty int) ([]int32, bool) {
 	}
 	if !found {
 		r.stats.Failures++
-		if r.alg == AStar {
-			sc.floodOK, sc.floodID, sc.floodStart = true, id, start
-		}
+		sc.floodOK, sc.floodID, sc.floodStart = true, id, start
 		return nil, false
 	}
 

@@ -3,7 +3,6 @@ package route
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"bristleblocks/internal/geom"
@@ -113,40 +112,6 @@ func TestRouteMatchesLeeOracle(t *testing.T) {
 	}
 }
 
-// TestLeeAlgorithmMatchesOracle runs the same battery against the Lee
-// reference Algorithm — the seed behavior the differential benchmarks
-// compare against must itself be optimal.
-func TestLeeAlgorithmMatchesOracle(t *testing.T) {
-	const pitch = geom.Coord(32)
-	rng := rand.New(rand.NewSource(99))
-	r := mustRouter(t, geom.R(0, 0, 24*pitch, 24*pitch), pitch)
-	r.SetAlgorithm(Lee)
-	for i := 0; i < 8; i++ {
-		x := geom.Coord(rng.Intn(20)) * pitch
-		y := geom.Coord(rng.Intn(20)) * pitch
-		r.Block(geom.R(x, y, x+4*pitch, y+2*pitch), "obs")
-	}
-	for pair := 0; pair < 16; pair++ {
-		net := fmt.Sprintf("n%d", pair)
-		fx, fy := rng.Intn(24), rng.Intn(24)
-		tx, ty := rng.Intn(24), rng.Intn(24)
-		from, to := r.center(fx, fy), r.center(tx, ty)
-		if r.Owner(from) != "" || r.Owner(to) != "" {
-			continue
-		}
-		optimal, reachable := leeOracle(r, net, fx, fy, tx, ty)
-		pts, err := r.Route(net, from, to)
-		if reachable != (err == nil) {
-			t.Fatalf("pair %d: oracle reachable=%v, Route err=%v", pair, reachable, err)
-		}
-		if err == nil {
-			if got, want := PathLength(pts), geom.Coord(optimal)*pitch; got != want {
-				t.Fatalf("pair %d: Lee path length %d, optimal %d", pair, got, want)
-			}
-		}
-	}
-}
-
 // TestFloodCacheMixedGoals exercises the failed-flood cache the way Pass
 // 3's approach-point scan does: many Route calls for the SAME net from the
 // SAME start, mixing goals inside a walled-off pocket (unreachable) with
@@ -249,10 +214,9 @@ func TestFloodCacheMixedGoals(t *testing.T) {
 	}
 }
 
-// TestOwnerSemantics pins the ownership contract the speculative commit
-// protocol depends on: the empty net is the free cell and never an owner
-// (Block("") and Claim("") are no-ops), nets that share a name prefix are
-// distinct owners (interning compares whole names, never prefixes), a net
+// TestOwnerSemantics pins the ownership contract Pass 3 depends on: the
+// empty net is the free cell and never an owner (Block("") and Claim("")
+// are no-ops), nets that share a name prefix are distinct owners (interning compares whole names, never prefixes), a net
 // may re-enter its own cells, and other nets may not.
 func TestOwnerSemantics(t *testing.T) {
 	r := mustRouter(t, geom.R(0, 0, geom.L(100), geom.L(100)), geom.L(10))
@@ -281,111 +245,58 @@ func TestOwnerSemantics(t *testing.T) {
 		t.Fatalf(`Claim("n1") stole an "n" cell`)
 	}
 
-	// Blocking with a net leaves its own cells its own; a later Block by
-	// another net does not steal them either (Block overwrites, so this
-	// pins that routeAll only ever Blocks disjoint setup geometry — but
-	// Claim, the commit-phase write, must skip every owned cell).
+	// Block overwrites, so Pass 3 only ever Blocks its fixed obstacle
+	// geometry; Claim, the routing-time write, must skip every owned cell.
 	r.Claim(geom.R(0, geom.L(20), geom.L(10), geom.L(30)), "a")
 	r.Claim(geom.R(0, geom.L(20), geom.L(10), geom.L(30)), "b")
 	if got := r.Owner(geom.Pt(geom.L(5), geom.L(25))); got != "a" {
-		t.Fatalf("commit-phase Claim stole a cell: owner %q, want a", got)
+		t.Fatalf("routing-time Claim stole a cell: owner %q, want a", got)
 	}
 }
 
-// TestResetReusesRouter pins Reset: the grid is all-free again, stats are
-// zeroed, and a rerun of the same route gives the same path.
-func TestResetReusesRouter(t *testing.T) {
-	r := mustRouter(t, geom.R(0, 0, 800, 800), 32)
-	r.Block(geom.R(380, 0, 420, 700), "wall")
+// TestCloneIntoRestoresTemplate pins the template restore Pass 3 starts
+// every rip-up attempt from: after a route, CloneInto from the template
+// gives back exactly the template's grid with zeroed stats, reuses the
+// destination's buffers, and a rerun of the same route gives the same
+// path.
+func TestCloneIntoRestoresTemplate(t *testing.T) {
+	template := mustRouter(t, geom.R(0, 0, 800, 800), 32)
+	template.Block(geom.R(380, 0, 420, 700), "wall")
+	r := template.CloneInto(nil)
 	first, err := r.Route("n1", geom.Pt(48, 400), geom.Pt(752, 400))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Reset()
+	if r.Stats() == (SearchStats{}) {
+		t.Fatal("route recorded no search stats")
+	}
+	owner := &r.owner[0]
+	if again := template.CloneInto(r); again != r || &r.owner[0] != owner {
+		t.Fatal("CloneInto did not reuse the destination's buffers")
+	}
 	if got := r.Stats(); got != (SearchStats{}) {
-		t.Fatalf("stats survive Reset: %+v", got)
+		t.Fatalf("stats survive CloneInto: %+v", got)
 	}
-	if got := r.Owner(geom.Pt(400, 100)); got != "" {
-		t.Fatalf("wall survives Reset: owner %q", got)
+	// The restored router shares the template's name table, so equal ids
+	// are equal owners.
+	for i := range template.owner {
+		if r.owner[i] != template.owner[i] {
+			t.Fatalf("cell %d: owner id %d after restore, template has %d", i, r.owner[i], template.owner[i])
+		}
 	}
-	r.Block(geom.R(380, 0, 420, 700), "wall")
+	if got := template.Owner(geom.Pt(48, 400)); got != "" {
+		t.Fatalf("routing on the clone wrote the template: owner %q", got)
+	}
 	second, err := r.Route("n1", geom.Pt(48, 400), geom.Pt(752, 400))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(first) != len(second) {
-		t.Fatalf("route after Reset differs: %v vs %v", first, second)
+		t.Fatalf("route after restore differs: %v vs %v", first, second)
 	}
 	for i := range first {
 		if first[i] != second[i] {
-			t.Fatalf("route after Reset differs at %d: %v vs %v", i, first, second)
+			t.Fatalf("route after restore differs at %d: %v vs %v", i, first, second)
 		}
-	}
-}
-
-// TestSnapshotCommitRace hammers one speculation/commit cycle from 32
-// goroutines under the race detector: every worker clones the master,
-// routes its own net against the snapshot and records a footprint; the
-// commit loop then validates and applies them in index order. The master
-// is only ever read during the parallel phase and only written in the
-// serial phase — the shape Pass 3's fan-out relies on.
-func TestSnapshotCommitRace(t *testing.T) {
-	const workers = 32
-	pitch := geom.Coord(16)
-	master := mustRouter(t, geom.R(0, 0, 64*pitch, 64*pitch), pitch)
-	master.Block(geom.R(20*pitch, 20*pitch, 44*pitch, 44*pitch), "core")
-	master.EnableJournal()
-	snap := master.Seq()
-
-	type result struct {
-		fp  Footprint
-		err error
-		net string
-	}
-	results := make([]result, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			net := fmt.Sprintf("n%d", w)
-			clone := master.Clone()
-			clone.SetRecorder(&results[w].fp)
-			// Distinct rows around the core, with some deliberate overlap
-			// between neighbors so commits genuinely conflict.
-			y := geom.Coord(1+(w/2))*pitch + pitch/2
-			_, err := clone.Route(net, geom.Pt(pitch/2, y), geom.Pt(63*pitch+pitch/2, y))
-			results[w].err = err
-			results[w].net = net
-		}()
-	}
-	wg.Wait()
-
-	committed := 0
-	for w := 0; w < workers; w++ {
-		if results[w].err != nil {
-			continue
-		}
-		if master.ConflictSince(&results[w].fp, snap) {
-			continue
-		}
-		master.BumpSeq()
-		master.Apply(&results[w].fp, results[w].net)
-		committed++
-		// Every applied cell must now belong to the committing net.
-		for _, i := range results[w].fp.Writes {
-			if o := master.names[master.owner[i]]; o != results[w].net {
-				t.Fatalf("worker %d: applied cell %d owned by %q", w, i, o)
-			}
-		}
-	}
-	if committed == 0 {
-		t.Fatal("no speculative route committed")
-	}
-	// Paired workers routed the same row: exactly one of each pair can
-	// have committed without conflict.
-	if committed > workers/2 {
-		t.Fatalf("%d commits, want at most %d (pairs share a row)", committed, workers/2)
 	}
 }

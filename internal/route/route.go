@@ -3,19 +3,10 @@
 // wires between the pads and the connection points".
 //
 // The search is A*-directed (Manhattan-distance heuristic over a bucketed
-// two-FIFO frontier, see astar.go) with the original Lee wavefront kept as
-// a reference Algorithm. Net names are interned to small integer ids so
-// the owner grid is a []netID — cloning a router for speculative routing
-// is a memcpy, and ownership tests never compare strings.
-//
-// For Pass 3's parallel fan-out the router exposes a snapshot/commit
-// protocol: Clone gives a worker a private copy of the grid, SetRecorder
-// captures the worker's write Footprint, and on the master router
-// EnableJournal + ConflictSince + Apply let the commit loop detect whether
-// a speculative route collides with an earlier commit and, if not, replay
-// its writes. Ownership is monotone during that phase — cells only ever
-// go free→owned, never owned→free or owned→other — which is what makes
-// write-collision validation sound (see docs/ARCHITECTURE.md).
+// two-FIFO frontier, see astar.go). Net names are interned to small
+// integer ids so the owner grid is a []netID: restoring a router from a
+// template of fixed obstacles (CloneInto) is a memcpy, and ownership tests
+// never compare strings.
 package route
 
 import (
@@ -24,37 +15,10 @@ import (
 	"bristleblocks/internal/geom"
 )
 
-// Algorithm selects the search strategy used by Route.
-type Algorithm int
-
-const (
-	// AStar is the default: best-first search directed by the Manhattan
-	// distance to the target. Expands a fraction of the cells Lee does on
-	// open fields and returns paths of identical (optimal) length.
-	AStar Algorithm = iota
-	// Lee is the reference breadth-first wavefront (a zero heuristic) —
-	// the seed behavior, kept for differential tests and benchmarks.
-	Lee
-)
-
 // netID is an interned net name; 0 is the free cell.
 type netID int32
 
 const freeCell netID = 0
-
-// Footprint records the cells a speculative routing unit claimed (path
-// cells and inflated wire claims). The commit loop validates it with
-// ConflictSince: a write cell that changed owner after the snapshot means
-// the unit's wire collides with an earlier commit and must re-route.
-// Reads need no tracking — ownership is monotone during the commit phase
-// (cells only go free→owned), so a cell observed OWNED can never change,
-// and a cell observed free that an earlier commit then claimed either
-// shows up in this unit's writes (collision, caught here) or only steered
-// its search (legal either way; the geometry is re-checked at commit
-// against the segments committed since the snapshot).
-type Footprint struct {
-	Writes []int32
-}
 
 // SearchStats counts the work the router's searches did. CellsExpanded is
 // the number of cells closed (popped and expanded) across all searches;
@@ -66,21 +30,10 @@ type SearchStats struct {
 	FrontierPeak  int64
 }
 
-// Add merges o into s (FrontierPeak by max, the counters by sum).
-func (s *SearchStats) Add(o SearchStats) {
-	s.Searches += o.Searches
-	s.Failures += o.Failures
-	s.CellsExpanded += o.CellsExpanded
-	if o.FrontierPeak > s.FrontierPeak {
-		s.FrontierPeak = o.FrontierPeak
-	}
-}
-
 // Router is a maze router over a uniform grid. Each grid cell is either
 // free, or owned by a net; a route for net N may pass through free cells
 // and cells already owned by N (so multi-terminal nets merge naturally),
-// and blocks the cells it uses. A Router is not safe for concurrent use;
-// parallel callers work on Clones.
+// and blocks the cells it uses. A Router is not safe for concurrent use.
 type Router struct {
 	region geom.Rect
 	pitch  geom.Coord
@@ -89,23 +42,10 @@ type Router struct {
 
 	names []string         // names[id] = net name; names[0] = ""
 	ids   map[string]netID // inverse of names
-	// shared marks names/ids as borrowed from the router this one was
-	// cloned from; intern copies them before its first insert. Clones may
-	// share one table concurrently because the fan-out protocol never
-	// overlaps a parent mutation with a clone read: the master is idle
-	// while its clones route, and the clones are dead before the commit
-	// loop writes the master.
+	// shared marks names/ids as borrowed from the template this router was
+	// cloned from; intern copies them before its first insert, so routing
+	// on a clone never changes the template.
 	shared bool
-
-	alg Algorithm
-
-	// journal[i] is the Seq at which cell i last changed owner (0 = during
-	// setup, before EnableJournal). Only the master router of a speculative
-	// fan-out journals; clones leave it nil.
-	journal []int32
-	seq     int32
-
-	rec *Footprint // nil when not recording
 
 	sc *scratch // reusable search buffers, allocated on first Route
 
@@ -135,41 +75,16 @@ func New(region geom.Rect, pitch geom.Coord) (*Router, error) {
 	}, nil
 }
 
-// SetAlgorithm selects the search strategy (default AStar).
-func (r *Router) SetAlgorithm(a Algorithm) { r.alg = a }
-
-// Reset returns the router to an all-free grid, keeping its allocations —
-// owner and journal arrays, search scratch, interned net names — for the
-// next attempt. A rip-up ladder re-routes the same placement dozens of
-// times; rebuilding the router each attempt made the allocator, not the
-// search, the bottleneck.
-func (r *Router) Reset() {
-	clear(r.owner)
-	clear(r.journal)
-	r.seq = 0
-	r.stats = SearchStats{}
-	r.rec = nil
-	if r.sc != nil {
-		r.sc.floodOK = false
-	}
-}
-
 // GridSize returns the router's grid dimensions.
 func (r *Router) GridSize() (nx, ny int) { return r.nx, r.ny }
 
 // Stats returns the accumulated search statistics.
 func (r *Router) Stats() SearchStats { return r.stats }
 
-// AddStats merges a clone's search statistics into the router's own (the
-// commit loop calls this in deterministic unit order).
-func (r *Router) AddStats(s SearchStats) { r.stats.Add(s) }
-
-// Clone returns a private copy of the grid for speculative routing: same
-// region, pitch, algorithm and interned nets, its own owner array (a
-// single memcpy), fresh statistics, no journal and no recorder. The net
-// name tables are shared copy-on-write — a clone routing an already-known
-// net (the usual case; its terminals were claimed on the master) never
-// touches them.
+// Clone returns a copy of the grid: same region, pitch and interned nets,
+// its own owner array (a single memcpy) and fresh statistics. The net name
+// tables are shared copy-on-write; a clone routing an already-known net
+// never touches them.
 func (r *Router) Clone() *Router {
 	return &Router{
 		region: r.region,
@@ -180,82 +95,32 @@ func (r *Router) Clone() *Router {
 		names:  r.names,
 		ids:    r.ids,
 		shared: true,
-		alg:    r.alg,
 	}
 }
 
-// CloneInto is Clone reusing dst's buffers — owner array and search
-// scratch — so a worker that routes many speculative units allocates one
-// clone, not one per unit. dst must be a previous CloneInto/Clone result
-// (never a journaling master); a nil or grid-mismatched dst falls back to
-// a fresh Clone.
+// CloneInto is Clone reusing dst's buffers (owner array and search
+// scratch). Pass 3 draws each ring's fixed obstacles once into a template
+// and restores every rip-up attempt from it with CloneInto, so an attempt
+// costs one owner-grid memcpy instead of a redraw. A nil or
+// grid-mismatched dst falls back to a fresh Clone.
 func (r *Router) CloneInto(dst *Router) *Router {
-	if dst == nil || dst.nx != r.nx || dst.ny != r.ny || dst.journal != nil {
+	if dst == nil || dst.nx != r.nx || dst.ny != r.ny {
 		return r.Clone()
 	}
-	dst.region, dst.pitch, dst.alg = r.region, r.pitch, r.alg
+	dst.region, dst.pitch = r.region, r.pitch
 	copy(dst.owner, r.owner)
 	dst.names = r.names
 	dst.ids = r.ids
 	dst.shared = true
-	dst.seq = 0
 	dst.stats = SearchStats{}
-	dst.rec = nil
 	if dst.sc != nil {
 		dst.sc.floodOK = false
 	}
 	return dst
 }
 
-// SetRecorder directs the router to record the cells it writes into fp
-// (nil stops recording). Workers set this on their Clone so the commit
-// loop can check the route for collisions against later commits.
-func (r *Router) SetRecorder(fp *Footprint) { r.rec = fp }
-
-// EnableJournal starts journalling owner changes on the master router so
-// ConflictSince can answer "did any of these cells change since sequence
-// point s?".
-func (r *Router) EnableJournal() {
-	if r.journal == nil {
-		r.journal = make([]int32, r.nx*r.ny)
-	}
-}
-
-// Seq returns the current commit sequence number (the snapshot point a
-// speculative unit validates against).
-func (r *Router) Seq() int32 { return r.seq }
-
-// BumpSeq advances the commit sequence; the commit loop calls it once per
-// unit so that unit's writes are distinguishable from earlier ones.
-func (r *Router) BumpSeq() int32 { r.seq++; return r.seq }
-
-// ConflictSince reports whether any cell in the footprint's write set
-// changed owner after sequence point since — i.e. an earlier commit
-// claimed a cell this unit's wire also needs. Requires EnableJournal.
-func (r *Router) ConflictSince(fp *Footprint, since int32) bool {
-	for _, i := range fp.Writes {
-		if r.journal[i] > since {
-			return true
-		}
-	}
-	return false
-}
-
-// Apply replays a validated speculative unit's writes onto the master
-// grid. Sound only after ConflictSince returned false: a clone only ever
-// writes cells that were free or owned by its own net at the snapshot
-// (searches cannot enter foreign cells and Claim skips owned ones), and no
-// conflict means no commit has touched those cells since — so on the
-// master each written cell is still free or already this net's.
-func (r *Router) Apply(fp *Footprint, net string) {
-	id := r.intern(net)
-	for _, i := range fp.Writes {
-		r.setOwner(int(i), id)
-	}
-}
-
 // intern maps a net name to its id, allocating one on first sight. A
-// router still sharing its tables with its clone parent copies them
+// router still sharing its tables with its template copies them
 // before the first insert (see Router.shared).
 func (r *Router) intern(net string) netID {
 	if id, ok := r.ids[net]; ok {
@@ -276,17 +141,10 @@ func (r *Router) intern(net string) netID {
 	return id
 }
 
-// setOwner is the single owner-write path: it stamps the journal and the
-// recorder, so speculation never misses a write, and invalidates the
-// failed-flood cache, whose reachability answer assumed a frozen grid.
+// setOwner is the single owner-write path: it invalidates the failed-flood
+// cache, whose reachability answer assumed a frozen grid.
 func (r *Router) setOwner(i int, id netID) {
 	r.owner[i] = id
-	if r.journal != nil {
-		r.journal[i] = r.seq
-	}
-	if r.rec != nil {
-		r.rec.Writes = append(r.rec.Writes, int32(i))
-	}
 	if r.sc != nil {
 		r.sc.floodOK = false
 	}
@@ -380,12 +238,6 @@ func (r *Router) Claim(rect geom.Rect, net string) {
 // NearestOwned returns the center of the claimed cell of the given net
 // nearest to p (for branching a multi-terminal net from its existing
 // trunk); ok is false when the net owns nothing.
-//
-// NearestOwned deliberately records nothing: it only reads the net's OWN
-// cells, and during the commit phase no other unit writes this net (units
-// sharing a net name are forced onto the serial path by the pads pass),
-// so the answer a speculative clone computes is the answer the serial
-// order would have computed.
 func (r *Router) NearestOwned(net string, p geom.Point) (geom.Point, bool) {
 	id, ok := r.ids[net]
 	if !ok || id == freeCell {
@@ -415,23 +267,4 @@ func PathLength(pts []geom.Point) geom.Coord {
 		sum += pts[i].Manhattan(pts[i+1])
 	}
 	return sum
-}
-
-// DumpOwners prints a coarse ASCII map of cell ownership (debugging aid).
-func (r *Router) DumpOwners() {
-	for cy := r.ny - 1; cy >= 0; cy -= 2 {
-		row := make([]byte, 0, r.nx)
-		for cx := 0; cx < r.nx; cx++ {
-			o := r.names[r.owner[r.idx(cx, cy)]]
-			switch {
-			case o == "":
-				row = append(row, '.')
-			case o == "core!":
-				row = append(row, '#')
-			default:
-				row = append(row, o[len(o)-1])
-			}
-		}
-		fmt.Println(string(row))
-	}
 }

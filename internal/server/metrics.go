@@ -92,8 +92,6 @@ type metrics struct {
 	// max update is a CAS loop because parallel compile workers report
 	// concurrently.
 	routeNets         *expvar.Int
-	routeConflicts    *expvar.Int
-	routeRetries      *expvar.Int
 	routeCells        *expvar.Int
 	routeFrontierPeak atomic.Int64
 	// Per-pass allocation attribution, accumulated over cold compiles:
@@ -168,8 +166,6 @@ func newMetrics(s *Server) *metrics {
 		passUSControl:      new(expvar.Int),
 		passUSPads:         new(expvar.Int),
 		routeNets:          new(expvar.Int),
-		routeConflicts:     new(expvar.Int),
-		routeRetries:       new(expvar.Int),
 		routeCells:         new(expvar.Int),
 		allocsCore:         new(expvar.Int),
 		allocsControl:      new(expvar.Int),
@@ -248,8 +244,6 @@ func newMetrics(s *Server) *metrics {
 	m.vars.Set("pass_us_control", m.passUSControl)
 	m.vars.Set("pass_us_pads", m.passUSPads)
 	m.vars.Set("route_nets", m.routeNets)
-	m.vars.Set("route_conflicts", m.routeConflicts)
-	m.vars.Set("route_retries", m.routeRetries)
 	m.vars.Set("route_cells_expanded", m.routeCells)
 	m.vars.Set("pass_allocs_core", m.allocsCore)
 	m.vars.Set("pass_allocs_control", m.allocsControl)
@@ -356,8 +350,6 @@ func (m *metrics) observeStats(st core.Stats) {
 	m.plaTermsMerged.Add(int64(st.PlaTermsBefore - st.PlaTermsAfter))
 	m.plaAreaSaved.Add(st.PlaAreaSavedLambda2)
 	m.routeNets.Add(st.RouteNets)
-	m.routeConflicts.Add(st.RouteConflicts)
-	m.routeRetries.Add(st.RouteRetries)
 	m.routeCells.Add(st.RouteCellsExpanded)
 	for {
 		cur := m.routeFrontierPeak.Load()
@@ -510,11 +502,9 @@ func (m *metrics) writeProm(w io.Writer, s *Server) error {
 	p.Counter("bbd_scenario_failed_vectors_total", "Vectors that failed their expectations across verify requests.", float64(m.scenarioFailed.Value()))
 	p.Gauge("bbd_scenario_grade_percent_last", "Worst scenario grade of the most recent verify request.", float64(m.scenarioGradeLast.Value()))
 
-	// Pass 3 routing counters: the speculative pad router's work.
-	p.Counter("bbd_route_nets_total", "Routing units committed by Pass 3 across cold compiles (all rip-up attempts).", float64(m.routeNets.Value()))
-	p.Counter("bbd_route_conflicts_total", "Speculative routes invalidated by an earlier commit across cold compiles.", float64(m.routeConflicts.Value()))
-	p.Counter("bbd_route_retries_total", "Serial re-routes that repaired discarded speculation across cold compiles.", float64(m.routeRetries.Value()))
-	p.Counter("bbd_route_cells_expanded_total", "Grid cells the committed searches expanded across cold compiles.", float64(m.routeCells.Value()))
+	// Pass 3 routing counters: the pad router's work.
+	p.Counter("bbd_route_nets_total", "Routing units routed by Pass 3 across cold compiles (all rip-up attempts).", float64(m.routeNets.Value()))
+	p.Counter("bbd_route_cells_expanded_total", "Grid cells the route searches expanded across cold compiles.", float64(m.routeCells.Value()))
 	p.Gauge("bbd_route_frontier_peak", "Widest search frontier any cold compile's router reached.", float64(m.routeFrontierPeak.Load()))
 
 	// Per-pass span rollups: cumulative seconds of compile time per pass.

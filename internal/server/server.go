@@ -47,8 +47,8 @@ type Config struct {
 	// MaxSpecBytes bounds the request body (<=0 = 1 MiB; the language is a
 	// "single page" description, so even 1 MiB is generous).
 	MaxSpecBytes int64
-	// Parallelism is Pass 1's fan-out width per compile (0 = GOMAXPROCS,
-	// 1 = serial). A loaded daemon already runs Workers compiles
+	// Parallelism is the fan-out width per compile of Pass 1's elements
+	// and Pass 3's moat×strategy race (0 = GOMAXPROCS, 1 = serial). A loaded daemon already runs Workers compiles
 	// concurrently, so bbd defaults this to 1 and lets the worker pool be
 	// the parallelism; set it higher when the daemon mostly sees one
 	// large compile at a time.

@@ -53,7 +53,6 @@ import (
 	"bristleblocks/internal/experiments"
 	"bristleblocks/internal/incr"
 	"bristleblocks/internal/obs/rtm"
-	"bristleblocks/internal/pads"
 	"bristleblocks/internal/scenario"
 	"bristleblocks/internal/server"
 	"bristleblocks/internal/server/farmtest"
@@ -74,7 +73,7 @@ type result struct {
 	BytesPerOp  int64 `json:"bytes_per_op"`
 	// PadsMSPerOp is Pass 3 wall-clock per iteration in milliseconds,
 	// reported only by the route_pass_* arms (their time/op includes
-	// Passes 1-2, so this is the number their ratios compare).
+	// Passes 1-2, so this is the number to compare).
 	PadsMSPerOp float64 `json:"pads_ms_per_op,omitempty"`
 	// PlaMSPerOp is Pass 2 wall-clock per iteration in milliseconds,
 	// reported only by the control_pass_* arms (same framing as pads-ms:
@@ -118,14 +117,6 @@ type report struct {
 	IncrementalEditSpeedup float64 `json:"incremental_edit_speedup"`
 	// IncrHitRatio is the artifact-store hit ratio over the warm-edit arm.
 	IncrHitRatio float64 `json:"incr_hit_ratio"`
-	// PadPassSpeedupJ8 is route_pass_seed / route_pass_parallel_j8 on
-	// pad-pass wall-clock: what the A* router and speculative fan-out buy
-	// over the seed Lee router across examples/chips at -j 8.
-	PadPassSpeedupJ8 float64 `json:"pad_pass_speedup_j8"`
-	// PadPassSpeedupSerial is route_pass_seed / route_pass_serial: the
-	// algorithmic share of that win (A* + flood cache + router reuse with
-	// the speculative pipeline drained by one worker).
-	PadPassSpeedupSerial float64 `json:"pad_pass_speedup_serial"`
 	// PlaMinimizeMS is what the Pass 2 minimizer costs across the example
 	// corpus: control_pass_minimized minus control_pass_unminimized on
 	// Pass 2 wall-clock per iteration (clamped at zero — on chips this
@@ -383,10 +374,10 @@ func main() {
 	})
 	incrAfter := store.Counters()
 
-	// Pass 3 over every example chip: the seed router (Lee wavefront,
-	// pure serial commit) against the A* speculative pipeline at -j 1 and
-	// -j 8. time/op includes Passes 1-2; the comparison lives in the
-	// pads-ms metric (summed Pass 3 wall-clock per iteration).
+	// Pass 3 over every example chip at -j 1 and -j 8 (the width of the
+	// moat×strategy combo race). time/op includes Passes 1-2; the
+	// comparison lives in the pads-ms metric (summed Pass 3 wall-clock per
+	// iteration).
 	chips, err := chipsSpecs()
 	if err != nil {
 		fatal(err)
@@ -409,13 +400,9 @@ func main() {
 	if totalAllocs.Objects > 0 {
 		rep.AllocAttributionRatio = float64(attributed.Objects) / float64(totalAllocs.Objects)
 	}
-	routePass := func(parallelism int, seed bool) func(b *testing.B) {
+	routePass := func(parallelism int) func(b *testing.B) {
 		opts := &core.Options{Parallelism: parallelism, SkipExtraReps: true}
 		return func(b *testing.B) {
-			if seed {
-				pads.SetSeedMode(true)
-				defer pads.SetSeedMode(false)
-			}
 			b.ReportAllocs()
 			var padsUS int64
 			b.ResetTimer()
@@ -432,9 +419,8 @@ func main() {
 			b.ReportMetric(float64(padsUS)/1e3, "pads-ms")
 		}
 	}
-	routeSeed := run("route_pass_seed", routePass(1, true))
-	routeSerial := run("route_pass_serial", routePass(1, false))
-	routeJ8 := run("route_pass_parallel_j8", routePass(8, false))
+	run("route_pass_serial", routePass(1))
+	run("route_pass_parallel_j8", routePass(8))
 
 	// Pass 2 over every example chip, with and without the Espresso-style
 	// minimizer. time/op includes Pass 1 (the decoder needs the core's
@@ -565,12 +551,6 @@ func main() {
 	if dh, dm := incrAfter.Hits-incrBefore.Hits, incrAfter.Misses-incrBefore.Misses; dh+dm > 0 {
 		rep.IncrHitRatio = float64(dh) / float64(dh+dm)
 	}
-	if routeJ8.PadsMSPerOp > 0 {
-		rep.PadPassSpeedupJ8 = routeSeed.PadsMSPerOp / routeJ8.PadsMSPerOp
-	}
-	if routeSerial.PadsMSPerOp > 0 {
-		rep.PadPassSpeedupSerial = routeSeed.PadsMSPerOp / routeSerial.PadsMSPerOp
-	}
 	if d := plaMin.PlaMSPerOp - plaSkip.PlaMSPerOp; d > 0 {
 		rep.PlaMinimizeMS = d
 	}
@@ -592,9 +572,9 @@ func main() {
 	if err := os.WriteFile(*out, buf, 0o644); err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: cached-hit speedup %.0fx, core-pass parallel speedup %.2fx (%.2fx @g4, serial share %.2f), pad-pass speedup %.2fx (j8), incremental edit speedup %.1fx (hit ratio %.2f), pla %.2fms for %d terms merged (%.0f λ² saved), compiled-sim speedup %.1fx, scenario grading %.0f vectors/s, telemetry overhead %.2f%%, alloc attribution %.2f, batch %.1f qps farm / %.1f qps single (p99 %.0f/%.0f ms, %.2fx) -> %s\n",
+	fmt.Fprintf(os.Stderr, "benchjson: cached-hit speedup %.0fx, core-pass parallel speedup %.2fx (%.2fx @g4, serial share %.2f), incremental edit speedup %.1fx (hit ratio %.2f), pla %.2fms for %d terms merged (%.0f λ² saved), compiled-sim speedup %.1fx, scenario grading %.0f vectors/s, telemetry overhead %.2f%%, alloc attribution %.2f, batch %.1f qps farm / %.1f qps single (p99 %.0f/%.0f ms, %.2fx) -> %s\n",
 		rep.CachedHitSpeedup, rep.CorePassParallelSpeedup, rep.CorePassParallelSpeedupG4,
-		rep.CorePassSerialShare, rep.PadPassSpeedupJ8, rep.IncrementalEditSpeedup, rep.IncrHitRatio,
+		rep.CorePassSerialShare, rep.IncrementalEditSpeedup, rep.IncrHitRatio,
 		rep.PlaMinimizeMS, rep.PlaTermsMerged, rep.PlaAreaSavedLambda2, rep.SimCompiledSpeedup,
 		rep.ScenarioVectorsPerSec, rep.TelemetryOverheadPct, rep.AllocAttributionRatio,
 		rep.BatchFarmQPS, rep.BatchSingleQPS, rep.BatchFarmP99MS, rep.BatchSingleP99MS,
